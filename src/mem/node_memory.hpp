@@ -3,11 +3,15 @@
 // are ordinary host memory; only memory that must be remotely accessible
 // lives here. Since the whole cluster is simulated in one address space, a
 // "remote" access is a host pointer dereference plus modelled time.
+//
+// The arena is one reserved anonymous mapping: it reads as zero until first
+// written (SMI flags and signals rely on that) and is never re-zeroed, and
+// only the pages a node actually touches are committed. A node therefore
+// costs host memory for what it uses, not for its configured arena size.
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "common/status.hpp"
 #include "mem/allocator.hpp"
@@ -17,6 +21,7 @@ namespace scimpi::mem {
 class NodeMemory {
 public:
     NodeMemory(int node_id, std::size_t arena_bytes);
+    ~NodeMemory();
 
     NodeMemory(const NodeMemory&) = delete;
     NodeMemory& operator=(const NodeMemory&) = delete;
@@ -38,11 +43,12 @@ public:
     /// Offset of `p` within the arena. Precondition: contains(p).
     [[nodiscard]] std::size_t offset_of(const void* p) const;
 
-    [[nodiscard]] std::byte* base() { return arena_.data(); }
+    [[nodiscard]] std::byte* base() { return base_; }
 
 private:
     int node_id_;
-    std::vector<std::byte> arena_;
+    std::size_t size_;
+    std::byte* base_ = nullptr;
     Allocator alloc_;
 };
 

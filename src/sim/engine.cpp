@@ -1,11 +1,17 @@
 #include "sim/engine.hpp"
 
 #include <chrono>
+#include <utility>
 
+#include "common/rng.hpp"
 #include "sim/process.hpp"
 #include "sim/schedule.hpp"
 
 namespace scimpi::sim {
+
+namespace {
+std::uint64_t mix64(std::uint64_t x) { return Rng(x).next(); }
+}  // namespace
 
 Engine::Engine() = default;
 
@@ -82,22 +88,31 @@ void Engine::run() {
     SCIMPI_REQUIRE(!running_, "Engine::run() is not reentrant");
     running_ = true;
     wall_run_start_ = std::chrono::steady_clock::now();
+    // Start the first dispatch; from then on the processes pass the baton
+    // among themselves and the last one hands it back here.
     try {
-        run_loop();
+        if (Process* p = next_ready()) {
+            p->baton_.release();
+            baton_.acquire();
+        }
     } catch (...) {
-        // A schedule controller threw on the engine thread (replay
-        // divergence, choice out of range). Unwind the parked process
-        // threads *now*, while the objects their stacks reference are still
-        // alive — the caller's members die before this engine does.
-        running_ = false;
-        shutdown_remaining();
-        throw;
+        pending_exception_ = std::current_exception();
     }
     wall_base_ns_ += static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - wall_run_start_)
             .count());
     running_ = false;
+
+    if (pending_exception_) {
+        // A schedule controller threw (replay divergence, choice out of
+        // range). Unwind the parked process threads *now*, while the objects
+        // their stacks reference are still alive — the caller's members die
+        // before this engine does.
+        const std::exception_ptr e = std::exchange(pending_exception_, nullptr);
+        shutdown_remaining();
+        std::rethrow_exception(e);
+    }
 
     if (!pending_error_.empty()) {
         std::string err = pending_error_;
@@ -119,7 +134,8 @@ void Engine::run() {
     }
 }
 
-void Engine::run_loop() {
+Process* Engine::next_ready() {
+    current_ = nullptr;
     while (!queue_.empty() && pending_error_.empty()) {
         QEntry e = queue_.top();
         queue_.pop();
@@ -167,16 +183,14 @@ void Engine::run_loop() {
         }
         now_ = t_eff;
         ++events_dispatched_;
+        dispatch_digest_ = mix64(dispatch_digest_ ^ mix64(static_cast<std::uint64_t>(now_)) ^
+                                 static_cast<std::uint64_t>(e.p->id()));
         if (ctx_switches_ != nullptr) ctx_switches_->inc();
         if (sched_ != nullptr) sched_->on_dispatch(e.p->id(), now_);
-        resume(*e.p);
+        current_ = e.p;
+        return e.p;
     }
-}
-
-void Engine::resume(Process& p) {
-    current_ = &p;
-    p.resume_from_engine();
-    current_ = nullptr;
+    return nullptr;
 }
 
 void Engine::shutdown_remaining() {

@@ -1,5 +1,7 @@
 #include "sim/process.hpp"
 
+#include <exception>
+
 #include "common/status.hpp"
 #include "sim/engine.hpp"
 #include "sim/schedule.hpp"
@@ -8,38 +10,29 @@ namespace scimpi::sim {
 
 Process::Process(Engine& engine, int id, std::string name,
                  std::function<void(Process&)> body)
-    : engine_(engine), id_(id), name_(std::move(name)), body_(std::move(body)) {}
+    : engine_(engine),
+      id_(id),
+      name_(std::move(name)),
+      body_(std::move(body)),
+      thread_([this] { thread_main(); }) {}
 
 Process::~Process() {
-    if (thread_.joinable()) {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            shutdown_ = true;
-            cv_.notify_all();
-        }
-        thread_.join();
-    }
+    // The engine destroys its processes only while none of them runs: each
+    // thread is parked (never dispatched, blocked, or a daemon) or has
+    // returned. Wake it to unwind its stack, then reap it.
+    shutdown_ = true;
+    baton_.release();
+    thread_.join();
 }
 
 SimTime Process::now() const { return engine_.now(); }
 
-void Process::start_thread() {
-    thread_ = std::thread([this] { thread_main(); });
-}
-
 void Process::thread_main() {
     try {
-        {
-            // Wait for the first baton.
-            std::unique_lock<std::mutex> lock(mutex_);
-            cv_.wait(lock, [this] { return baton_ || shutdown_; });
-            if (shutdown_) throw ShutdownSignal{};
-            baton_ = false;
-        }
+        park();
         // Bind this OS thread to its engine so argument-less primitives can
         // reach the schedule controller (see sim::current_engine()).
         set_current_engine(&engine_);
-        state_ = State::running;
         body_(*this);
     } catch (const ShutdownSignal&) {
         // Engine tear-down: unwind silently.
@@ -49,31 +42,32 @@ void Process::thread_main() {
         engine_.pending_error_ = name_ + ": unknown exception";
     }
     state_ = State::finished;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    returned_ = true;
-    cv_.notify_all();
+    if (!shutdown_) pass_baton();  // at tear-down the engine thread is joining us
 }
 
-void Process::resume_from_engine() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (state_ == State::created) {
-        state_ = State::ready;
-        start_thread();
+void Process::park() {
+    baton_.acquire();
+    if (shutdown_) throw ShutdownSignal{};
+    state_ = State::running;
+}
+
+bool Process::pass_baton() {
+    Process* next = nullptr;
+    try {
+        next = engine_.next_ready();
+    } catch (...) {
+        engine_.pending_exception_ = std::current_exception();
     }
-    returned_ = false;
-    baton_ = true;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return returned_; });
+    if (next == this) return true;
+    (next != nullptr ? next->baton_ : engine_.baton_).release();
+    return false;
 }
 
 void Process::suspend() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    returned_ = true;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return baton_ || shutdown_; });
-    if (shutdown_) throw ShutdownSignal{};
-    baton_ = false;
-    state_ = State::running;
+    if (pass_baton())
+        state_ = State::running;
+    else
+        park();
 }
 
 void Process::delay(SimTime ns) {

@@ -50,9 +50,9 @@ struct ChoicePoint {
 };
 
 /// Base controller: deterministic defaults, no perturbation. Exploration and
-/// replay derive from this. All hooks are invoked with the baton held (either
-/// by the engine loop or by the current process), so implementations need no
-/// locking.
+/// replay derive from this. All hooks are invoked with the baton held (by
+/// run() starting the first dispatch, or by whichever process dispatches
+/// next), so implementations need no locking; they may run on any thread.
 class ScheduleController {
 public:
     virtual ~ScheduleController() = default;

@@ -1,7 +1,9 @@
 #include "mem/node_memory.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/units.hpp"
@@ -54,6 +56,40 @@ TEST(NodeMemory, FreeForeignRegionRejected) {
 TEST(NodeMemory, ExhaustionSurfacesAsOutOfMemory) {
     NodeMemory nm(0, 256);
     EXPECT_EQ(nm.allocate(4_KiB).status().code(), Errc::out_of_memory);
+}
+
+TEST(NodeMemory, FreshAllocationReadsZero) {
+    // SMI flags and signal words rely on fresh arena memory reading as zero.
+    NodeMemory nm(0, 1_MiB);
+    auto r = nm.allocate(256_KiB, 4_KiB);
+    ASSERT_TRUE(r);
+    const auto span = r.value();
+    EXPECT_TRUE(std::all_of(span.begin(), span.end(), [](std::byte b) { return b == std::byte{0}; }));
+}
+
+long max_rss_kib() {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_maxrss;
+}
+
+TEST(NodeMemory, LargeArenaCommitsOnlyTouchedPages) {
+    const long before = max_rss_kib();
+    NodeMemory nm(0, 1_GiB);
+    auto r = nm.allocate(64_KiB);
+    ASSERT_TRUE(r);
+    std::memset(r.value().data(), 0x5A, r.value().size());
+    EXPECT_EQ(nm.capacity(), 1_GiB);
+    // A committed 1 GiB arena would raise the peak by ~1048576 KiB.
+    EXPECT_LT(max_rss_kib() - before, 16L * 1024);
+}
+
+TEST(NodeMemory, ContainsAndOffsetAtLastByte) {
+    NodeMemory nm(0, 4_KiB);
+    const std::byte* last = nm.base() + nm.capacity() - 1;
+    EXPECT_TRUE(nm.contains(last));
+    EXPECT_EQ(nm.offset_of(last), nm.capacity() - 1);
+    EXPECT_FALSE(nm.contains(last + 1));
 }
 
 }  // namespace

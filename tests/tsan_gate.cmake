@@ -1,13 +1,15 @@
 # ThreadSanitizer gate over the engine and checker suites. The simulator is
-# deterministic by construction, but it *is* built from real OS threads and
-# a condvar baton — exactly the code TSan understands — so the sim/ and
+# deterministic by construction, but it *is* built from real OS threads that
+# pass one baton between them through semaphores, each process handing off
+# directly to the next — exactly the code TSan understands — so the sim/ and
 # check/ suites (which exercise spawn/suspend/shutdown, the schedule
-# controller hooks, and the explorer's repeated engine teardown) run under
-# the existing `tsan` preset as part of verify. Configures and builds the
-# preset's tree on demand so the gate works from a fresh checkout.
+# controller hooks, and the explorer's repeated engine teardown) run with
+# the `tsan` preset's settings as part of verify. Configures and builds that
+# tree on demand inside the calling build tree, so the gate works from a
+# fresh checkout and never writes into the source tree.
 #
-# Expects: SOURCE_DIR.
-set(tsan_dir "${SOURCE_DIR}/build-tsan")
+# Expects: SOURCE_DIR, TSAN_DIR (the ThreadSanitizer build tree).
+set(tsan_dir "${TSAN_DIR}")
 
 execute_process(
   COMMAND "${CMAKE_COMMAND}" -S "${SOURCE_DIR}" -B "${tsan_dir}"
