@@ -66,6 +66,9 @@ void Datatype::commit(const Config& cfg) {
             rep.max_depth =
                 std::max(rep.max_depth, static_cast<int>(leaf.stack.size()));
     }
+    node_->fingerprint = rep.structural_hash();
+    node_->leaf_major = BlockMap(rep);
+    node_->canonical = BlockMap(canonical_nests(*node_), node_->size, node_->extent());
     node_->flat = std::move(rep);
 }
 
@@ -74,9 +77,117 @@ const FlatRep& Datatype::flat() const {
     return *node_->flat;
 }
 
+const BlockMap& Datatype::leaf_major_map() const {
+    SCIMPI_REQUIRE(committed(), "leaf_major_map() requires a committed datatype");
+    return node_->leaf_major;
+}
+
+std::shared_ptr<const BlockMap> Datatype::canonical_map() const {
+    SCIMPI_REQUIRE(valid(), "canonical_map() on invalid datatype");
+    if (committed()) return {node_, &node_->canonical};  // shares the node's lifetime
+    return std::make_shared<const BlockMap>(canonical_nests(*node_), node_->size,
+                                            node_->extent());
+}
+
 std::uint64_t Datatype::fingerprint() const {
     SCIMPI_REQUIRE(committed(), "fingerprint() requires a committed datatype");
-    return node_->flat->structural_hash();
+    return node_->fingerprint;
+}
+
+namespace {
+
+/// Dense leaf replication (stride == block) is one longer block.
+void merge_dense(LoopNest& n) {
+    if (n.blocklen > 0 && n.count > 1 &&
+        n.stride == static_cast<std::ptrdiff_t>(n.blocklen)) {
+        n.blocklen *= static_cast<std::size_t>(n.count);
+        n.count = 1;
+        n.stride = 0;
+    }
+}
+
+/// `count` replications, `stride` bytes apart at `disp`, of `body`: the
+/// canonical-order building block. Merges what the byte map allows (count-1
+/// levels, a level that tiles its only child, dense leaf replication), so
+/// the result may be spliced into the caller's sequence.
+std::vector<LoopNest> repeat_nest(std::ptrdiff_t disp, std::int64_t count,
+                                  std::ptrdiff_t stride, std::vector<LoopNest> body) {
+    if (count == 0 || body.empty()) return {};
+    if (count == 1) {
+        for (LoopNest& n : body) n.disp += disp;
+        return body;
+    }
+    if (body.size() == 1) {
+        LoopNest& only = body.front();
+        // A single child replicated once, or laid out so that this level
+        // continues its own stride, folds into one level.
+        if (only.count == 1 || stride == only.count * only.stride) {
+            if (only.count != 1) stride = only.stride;
+            only.disp += disp;
+            only.count *= count;
+            only.stride = stride;
+            merge_dense(only);
+            return body;
+        }
+    }
+    LoopNest n;
+    n.disp = disp;
+    n.count = count;
+    n.stride = stride;
+    n.body = std::move(body);
+    return {std::move(n)};
+}
+
+/// Append `more` to the sequence `seq`, fusing single leaves that abut.
+void append_nests(std::vector<LoopNest>& seq, std::vector<LoopNest> more) {
+    for (LoopNest& n : more) {
+        if (!seq.empty()) {
+            LoopNest& prev = seq.back();
+            if (prev.blocklen > 0 && n.blocklen > 0 && prev.count == 1 && n.count == 1 &&
+                prev.disp + static_cast<std::ptrdiff_t>(prev.blocklen) == n.disp) {
+                prev.blocklen += n.blocklen;
+                continue;
+            }
+        }
+        seq.push_back(std::move(n));
+    }
+}
+
+}  // namespace
+
+std::vector<LoopNest> Datatype::canonical_nests(const Node& n) {
+    switch (n.kind) {
+        case TypeKind::basic: {
+            LoopNest leaf;
+            leaf.blocklen = n.size;
+            return {leaf};
+        }
+        case TypeKind::contiguous:
+            return repeat_nest(0, n.count, n.children[0]->extent(),
+                               canonical_nests(*n.children[0]));
+        case TypeKind::vector:
+        case TypeKind::hvector:
+            return repeat_nest(0, n.count, n.stride_bytes,
+                               repeat_nest(0, n.blocklen, n.children[0]->extent(),
+                                           canonical_nests(*n.children[0])));
+        case TypeKind::indexed:
+        case TypeKind::hindexed:
+        case TypeKind::strukt: {
+            const bool one_child = n.kind != TypeKind::strukt;
+            std::vector<LoopNest> child;
+            if (one_child) child = canonical_nests(*n.children[0]);
+            std::vector<LoopNest> seq;
+            for (std::size_t i = 0; i < n.blocklens.size(); ++i) {
+                const Node& c = *n.children[one_child ? 0 : i];
+                append_nests(seq, repeat_nest(n.displs[i], n.blocklens[i], c.extent(),
+                                              one_child ? child : canonical_nests(c)));
+            }
+            return seq;
+        }
+        case TypeKind::resized:
+            return canonical_nests(*n.children[0]);
+    }
+    panic("canonical_nests: unknown type kind");
 }
 
 void Datatype::flatten_into(const Node& n, std::ptrdiff_t base,
@@ -132,71 +243,6 @@ void Datatype::flatten_into(const Node& n, std::ptrdiff_t base,
         }
     }
     panic("flatten_into: unknown type kind");
-}
-
-void Datatype::walk_blocks(const Node& n, std::ptrdiff_t base,
-                           const std::function<void(std::ptrdiff_t, std::size_t)>& f) {
-    switch (n.kind) {
-        case TypeKind::basic:
-            if (n.size > 0) f(base, n.size);
-            return;
-        case TypeKind::contiguous: {
-            const std::ptrdiff_t ext = n.children[0]->extent();
-            for (int i = 0; i < n.count; ++i)
-                walk_blocks(*n.children[0], base + i * ext, f);
-            return;
-        }
-        case TypeKind::vector:
-        case TypeKind::hvector: {
-            const std::ptrdiff_t ext = n.children[0]->extent();
-            for (int i = 0; i < n.count; ++i)
-                for (int j = 0; j < n.blocklen; ++j)
-                    walk_blocks(*n.children[0], base + i * n.stride_bytes + j * ext, f);
-            return;
-        }
-        case TypeKind::indexed:
-        case TypeKind::hindexed: {
-            const std::ptrdiff_t ext = n.children[0]->extent();
-            for (std::size_t i = 0; i < n.blocklens.size(); ++i)
-                for (int j = 0; j < n.blocklens[i]; ++j)
-                    walk_blocks(*n.children[0], base + n.displs[i] + j * ext, f);
-            return;
-        }
-        case TypeKind::strukt: {
-            for (std::size_t i = 0; i < n.blocklens.size(); ++i) {
-                const std::ptrdiff_t ext = n.children[i]->extent();
-                for (int j = 0; j < n.blocklens[i]; ++j)
-                    walk_blocks(*n.children[i], base + n.displs[i] + j * ext, f);
-            }
-            return;
-        }
-        case TypeKind::resized:
-            walk_blocks(*n.children[0], base, f);
-            return;
-    }
-    panic("walk_blocks: unknown type kind");
-}
-
-void Datatype::for_each_block(
-    std::ptrdiff_t base, int count,
-    const std::function<void(std::ptrdiff_t, std::size_t)>& f) const {
-    SCIMPI_REQUIRE(valid(), "for_each_block() on invalid datatype");
-    // Coalesce adjacent basic blocks: contiguous runs (e.g. the elements
-    // inside one vector block) are one copy for any reasonable packer.
-    std::ptrdiff_t pend_off = 0;
-    std::size_t pend_len = 0;
-    const auto emit = [&](std::ptrdiff_t off, std::size_t len) {
-        if (pend_len > 0 && pend_off + static_cast<std::ptrdiff_t>(pend_len) == off) {
-            pend_len += len;
-            return;
-        }
-        if (pend_len > 0) f(pend_off, pend_len);
-        pend_off = off;
-        pend_len = len;
-    };
-    for (int c = 0; c < count; ++c)
-        walk_blocks(*node_, base + c * node_->extent(), emit);
-    if (pend_len > 0) f(pend_off, pend_len);
 }
 
 void Datatype::describe_into(const Node& n, int indent, std::string& out) {

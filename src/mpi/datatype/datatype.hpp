@@ -1,13 +1,13 @@
 // MPI derived datatypes: tree representation (Figure 3 of the paper) with
 // the full set of MPI-1 type constructors. Committing a type builds its
-// flattened ff-stack representation (flatten.hpp) used by direct_pack_ff.
+// flattened ff-stack representation (flatten.hpp) and the two block maps
+// (block_cursor.hpp) that every traversal of the type runs over.
 //
 // Conventions: displacements and extents are in bytes ("h" constructors) or
 // in elements of the base type (vector/indexed), exactly as in MPI.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -16,6 +16,7 @@
 
 #include "common/config.hpp"
 #include "common/status.hpp"
+#include "mpi/datatype/block_cursor.hpp"
 #include "mpi/datatype/flatten.hpp"
 
 namespace scimpi::mpi {
@@ -87,19 +88,30 @@ public:
     [[nodiscard]] std::int64_t traversal_steps_per_item() const;
 
     /// Prepare the type for communication: builds the flattened ff-stack
-    /// representation. Idempotent.
+    /// representation, both block maps and the fingerprint. Idempotent.
     void commit(const Config& cfg = default_config());
     [[nodiscard]] bool committed() const;
     /// Flattened representation; requires committed().
     [[nodiscard]] const FlatRep& flat() const;
+    /// ff's leaf-major block map, built from flat(); requires committed().
+    [[nodiscard]] const BlockMap& leaf_major_map() const;
+    /// Canonical type-map block map: the committed one, or for an
+    /// uncommitted type one built now from the tree.
+    [[nodiscard]] std::shared_ptr<const BlockMap> canonical_map() const;
 
-    /// Visit the basic blocks of `count` instances at `base` displacement in
-    /// canonical type-map order: f(byte_offset, length).
-    void for_each_block(std::ptrdiff_t base, int count,
-                        const std::function<void(std::ptrdiff_t, std::size_t)>& f) const;
+    /// Visit the contiguous blocks of `count` instances at `base`
+    /// displacement in canonical type-map order, adjacent blocks coalesced:
+    /// f(byte_offset, length).
+    template <class F>
+    void for_each_block(std::ptrdiff_t base, int count, F&& f) const {
+        const std::shared_ptr<const BlockMap> map = canonical_map();
+        for (BlockCursor c(*map, base, count); !c.done(); c.next())
+            f(c.offset(), c.length());
+    }
 
     /// Structural fingerprint of the flattened layout (used by the protocol
     /// layer to decide whether both ends may use leaf-major ff order).
+    /// Computed at commit; requires committed().
     [[nodiscard]] std::uint64_t fingerprint() const;
 
     /// Human-readable tree dump (debugging, docs).
@@ -128,14 +140,18 @@ private:
         int depth = 1;
         std::int64_t blocks = 1;          // basic blocks per instance
         std::int64_t steps = 1;           // recursive traversal node visits
-        std::optional<FlatRep> flat;      // built at commit
+        // Built at commit:
+        std::optional<FlatRep> flat;
+        BlockMap leaf_major;
+        BlockMap canonical;
+        std::uint64_t fingerprint = 0;
 
         [[nodiscard]] std::ptrdiff_t extent() const { return ub - lb; }
     };
 
     static Datatype make_basic(std::string name, std::size_t bytes);
-    static void walk_blocks(const Node& n, std::ptrdiff_t base,
-                            const std::function<void(std::ptrdiff_t, std::size_t)>& f);
+    /// One instance of `n` in canonical type-map order.
+    static std::vector<LoopNest> canonical_nests(const Node& n);
     static void flatten_into(const Node& n, std::ptrdiff_t base,
                              std::vector<FFStackItem>& stack, FlatRep& out);
     static void describe_into(const Node& n, int indent, std::string& out);

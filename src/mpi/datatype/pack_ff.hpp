@@ -1,18 +1,18 @@
 // direct_pack_ff (paper Section 3.3): non-recursive packing driven by the
-// flattened ff-stack representation built at commit time.
+// flattened ff-stack representation built at commit time, walked by the
+// BlockCursor over the type's leaf-major block map (block_cursor.hpp).
 //
-//   * find_position: O(N) + O(D) location of an arbitrary stream offset
-//     (N = leaves, D = max stack depth) — partial packs resume anywhere,
-//   * copy_split_block: finishes a block cut by the previous chunk,
-//   * copy_leaf_basic: two nested loops over simple stack (odometer)
-//     operations — no recursive tree traversal.
+//   * find_position: the cursor's seek locates an arbitrary stream offset in
+//     O(log N) + O(D) (N = leaves, D = max stack depth) — partial packs
+//     resume anywhere,
+//   * copy_split_block: the first block may start inside a leaf block cut
+//     by the previous chunk,
+//   * copy_leaf_basic: stack (odometer) steps — no recursive tree traversal.
 //
 // The packed stream is leaf-major (all replications of leaf 0, then leaf 1,
 // ...), instance-major across `count` type instances. The receive side runs
 // the same iteration with the copy direction swapped.
 #pragma once
-
-#include <functional>
 
 #include "mem/copy_model.hpp"
 #include "mpi/datatype/datatype.hpp"
@@ -30,8 +30,11 @@ public:
     /// Drive the ff iteration over packed-stream range [pos, pos+len):
     /// `emit(mem, n)` is called once per (possibly split) basic block in
     /// stream order, where `mem` points into the user buffer.
-    PackWork for_range(std::size_t pos, std::size_t len,
-                       const std::function<void(std::byte*, std::size_t)>& emit) const;
+    template <class F>
+    PackWork for_range(std::size_t pos, std::size_t len, F&& emit) const {
+        return tally_blocks(BlockCursor(type_.leaf_major_map(), 0, count_, pos, len),
+                            [&](std::ptrdiff_t off, std::size_t n) { emit(user_ + off, n); });
+    }
 
     /// Gather the range into a contiguous buffer.
     PackWork pack(std::size_t pos, std::size_t len, std::byte* out) const;
@@ -55,7 +58,6 @@ private:
     int count_;
     std::byte* user_;
     std::size_t total_;
-    std::vector<std::int64_t> leaf_prefix_;  // cumulative payload per leaf
 };
 
 }  // namespace scimpi::mpi

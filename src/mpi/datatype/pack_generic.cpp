@@ -2,50 +2,28 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 namespace scimpi::mpi {
 
 GenericPacker::GenericPacker(const Datatype& type, int count, void* userbuf)
-    : type_(type),
-      count_(count),
+    : count_(count),
       user_(static_cast<std::byte*>(userbuf)),
       total_(type.size() * static_cast<std::size_t>(count)) {
     SCIMPI_REQUIRE(type.valid(), "GenericPacker: invalid datatype");
     SCIMPI_REQUIRE(count >= 0, "GenericPacker: negative count");
+    map_ = type.canonical_map();
 }
 
 template <bool Pack>
 PackWork GenericPacker::run(std::size_t pos, std::size_t len, std::byte* stream) const {
-    SCIMPI_REQUIRE(pos + len <= total_, "pack range exceeds message");
-    PackWork work;
-    if (len == 0) return work;
-    work.min_block = std::numeric_limits<std::size_t>::max();
-    std::size_t cursor = 0;  // position in the packed stream
-    const std::size_t end = pos + len;
-    type_.for_each_block(0, count_, [&](std::ptrdiff_t mem_off, std::size_t blk) {
-        if (cursor >= end || cursor + blk <= pos) {
-            cursor += blk;
-            return;  // outside the requested range (walker still visits it)
-        }
-        const std::size_t lo = std::max(cursor, pos);
-        const std::size_t hi = std::min(cursor + blk, end);
-        const std::size_t n = hi - lo;
-        std::byte* mem = user_ + mem_off + static_cast<std::ptrdiff_t>(lo - cursor);
-        std::byte* str = stream + (lo - pos);
-        if constexpr (Pack)
-            std::memcpy(str, mem, n);
-        else
-            std::memcpy(mem, str, n);
-        work.bytes += n;
-        ++work.blocks;
-        work.min_block = std::min(work.min_block, n);
-        work.max_block = std::max(work.max_block, n);
-        cursor += blk;
-    });
-    SCIMPI_REQUIRE(work.bytes == len, "generic pack: type map shorter than range");
-    if (work.blocks == 0) work.min_block = 0;
-    return work;
+    return tally_blocks(BlockCursor(*map_, 0, count_, pos, len),
+                        [&stream, this](std::ptrdiff_t off, std::size_t n) {
+                            if constexpr (Pack)
+                                std::memcpy(stream, user_ + off, n);
+                            else
+                                std::memcpy(user_ + off, stream, n);
+                            stream += n;
+                        });
 }
 
 PackWork GenericPacker::pack(std::size_t pos, std::size_t len, std::byte* out) const {
@@ -54,7 +32,7 @@ PackWork GenericPacker::pack(std::size_t pos, std::size_t len, std::byte* out) c
 
 PackWork GenericPacker::unpack(std::size_t pos, std::size_t len,
                                const std::byte* in) const {
-    // The walker only writes into user memory; the stream side is read-only.
+    // Unpacking only writes into user memory; the stream side is read-only.
     return run<false>(pos, len, const_cast<std::byte*>(in));
 }
 

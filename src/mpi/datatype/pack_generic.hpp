@@ -1,11 +1,13 @@
-// Generic pack/unpack: the MPICH-style recursive datatype walker
-// (Figure 4 top). Packs in canonical type-map order; every basic block costs
-// a recursive tree descent, which is precisely the overhead direct_pack_ff
-// removes. Supports partial operations by stream offset (it re-walks the
-// type map and skips, as generic MPICH segment code does).
+// Generic pack/unpack: the MPICH-style datatype packer (Figure 4 top).
+// Packs in canonical type-map order and stages through a contiguous buffer.
+// Its recursive tree descent per basic block — the overhead direct_pack_ff
+// removes — is only *modelled*, in cost(); on the host the packer runs the
+// BlockCursor over the type's canonical block map (block_cursor.hpp), which
+// seeks straight to a partial operation's stream offset.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 
 #include "common/units.hpp"
 #include "mem/copy_model.hpp"
@@ -13,18 +15,10 @@
 
 namespace scimpi::mpi {
 
-/// Work metrics of one pack/unpack invocation, for the cost model.
-struct PackWork {
-    std::size_t bytes = 0;        ///< payload moved
-    std::int64_t blocks = 0;      ///< basic blocks touched
-    std::size_t min_block = 0;    ///< smallest block touched (0 if none)
-    std::size_t max_block = 0;    ///< largest block touched
-};
-
 class GenericPacker {
 public:
     /// A view of `count` instances of `type` at `userbuf`. The type does not
-    /// need to be committed (generic MPICH walks the raw tree).
+    /// need to be committed (the canonical map is then built from the tree).
     GenericPacker(const Datatype& type, int count, void* userbuf);
 
     [[nodiscard]] std::size_t total_bytes() const { return total_; }
@@ -36,14 +30,14 @@ public:
     PackWork unpack(std::size_t pos, std::size_t len, const std::byte* in) const;
 
     /// Simulated CPU time of a generic pack/unpack performing `work`,
-    /// including the recursive walker overhead per block.
+    /// including the modelled recursive walker overhead per block.
     static SimTime cost(const PackWork& work, const mem::CopyModel& model);
 
 private:
     template <bool Pack>
     PackWork run(std::size_t pos, std::size_t len, std::byte* stream) const;
 
-    Datatype type_;
+    std::shared_ptr<const BlockMap> map_;  // canonical order
     int count_;
     std::byte* user_;
     std::size_t total_;

@@ -189,11 +189,10 @@ Status Win::put_direct(const void* origin, int count, const Datatype& type, int 
     const sci::SciMapping& map = peer_mapping(target);
     const auto* user = static_cast<const std::byte*>(origin);
     Status st;
-    type.for_each_block(0, count, [&](std::ptrdiff_t off, std::size_t len) {
-        if (!st.is_ok()) return;
-        st = rank_->adapter().write(self, map, disp + static_cast<std::size_t>(off),
-                                    user + off, len, len);
-    });
+    const std::shared_ptr<const BlockMap> blocks = type.canonical_map();
+    for (BlockCursor c(*blocks, 0, count); !c.done() && st.is_ok(); c.next())
+        st = rank_->adapter().write(self, map, disp + static_cast<std::size_t>(c.offset()),
+                                    user + c.offset(), c.length(), c.length());
     if (st) rm_.lat_direct->record(self.now() - t0);
     note_rma(self, "rma:put_direct", t0, type.size() * static_cast<std::size_t>(count));
     return st;
@@ -209,11 +208,10 @@ Status Win::get_direct(void* origin, int count, const Datatype& type, int target
     const sci::SciMapping& map = peer_mapping(target);
     auto* user = static_cast<std::byte*>(origin);
     Status st;
-    type.for_each_block(0, count, [&](std::ptrdiff_t off, std::size_t len) {
-        if (!st.is_ok()) return;
-        st = rank_->adapter().read(self, map, disp + static_cast<std::size_t>(off),
-                                   user + off, len);
-    });
+    const std::shared_ptr<const BlockMap> blocks = type.canonical_map();
+    for (BlockCursor c(*blocks, 0, count); !c.done() && st.is_ok(); c.next())
+        st = rank_->adapter().read(self, map, disp + static_cast<std::size_t>(c.offset()),
+                                   user + c.offset(), c.length());
     if (st) rm_.lat_direct->record(self.now() - t0);
     note_rma(self, "rma:get_direct", t0, type.size() * static_cast<std::size_t>(count));
     return st;

@@ -3,6 +3,10 @@
 #include <chrono>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/rng.hpp"
 #include "sim/process.hpp"
 #include "sim/schedule.hpp"
@@ -13,7 +17,18 @@ namespace {
 std::uint64_t mix64(std::uint64_t x) { return Rng(x).next(); }
 }  // namespace
 
-Engine::Engine() = default;
+Engine::Engine() {
+#if defined(__GLIBC__)
+    // One process thread runs at a time, so glibc's per-thread malloc arenas
+    // buy no concurrency here. They only strand memory: each Cluster's fresh
+    // threads are handed arenas round-robin, and a buffer freed into one
+    // arena is not reused when the next rank lands in another. Measured on
+    // perfbench noncontig (30 s runs): peak RSS 66-70 MiB with per-thread
+    // arenas, 61.6 MiB with one. One arena serves every thread instead.
+    static const bool one_arena = mallopt(M_ARENA_MAX, 1) == 1;
+    (void)one_arena;
+#endif
+}
 
 Engine::~Engine() { shutdown_remaining(); }
 

@@ -1,12 +1,14 @@
-// Determinism pin: three fixed MPI programs must keep their exact simulated
+// Determinism pin: four fixed MPI programs must keep their exact simulated
 // schedule. Each run is summarized by the simulated end time, the number of
 // engine dispatches, and Engine::dispatch_digest() — a running hash over
 // (time, process id) of every dispatch, so any reordering of events shows
 // even when the totals happen to match. The expected values were recorded
-// before the engine's process hand-off was rewritten; a change to them must
-// be explained by a change to the simulated model, never by host mechanics.
+// before the host mechanics they guard were rewritten (the engine's process
+// hand-off, the datatype traversal); a change to them must be explained by a
+// change to the simulated model, never by host mechanics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -122,6 +124,96 @@ TEST(DeterminismPin, RaceDemoClean) {
     });
     EXPECT_TRUE(cluster.checker()->violations().empty());
     expect_pin(summarize(cluster), Pin{82159, 193, 0x1f88fbbf85177c68ull});
+}
+
+/// Value the sender stores at byte-map offset `off` of its buffer.
+double stamp(int rank, std::size_t off) { return rank * 1e6 + static_cast<double>(off); }
+
+TEST(DeterminismPin, GenericDerivedTypes) {
+    // Derived types over the generic packer: four-chunk rendezvous
+    // sendrecvs of a struct and a subarray around a ring, then a strided
+    // put, get (above the remote-put threshold) and accumulate on a shared
+    // window. The expected values were recorded before the datatype cursor
+    // replaced the recursive walker.
+    ClusterOptions opt;
+    opt.nodes = 4;
+    opt.cfg.use_direct_pack_ff = false;
+    Cluster cluster(opt);
+    cluster.run([](Comm& comm) {
+        const int n = comm.size();
+        const int right = (comm.rank() + 1) % n;
+        const int left = (comm.rank() + n - 1) % n;
+
+        // Particle record {double pos[3]; int32 id; int32 pad; double mass;}:
+        // 36 B of payload in a 40 B extent; 7000 records = 4 chunks.
+        const int rec_lens[] = {3, 1, 1};
+        const std::ptrdiff_t rec_displs[] = {0, 24, 32};
+        const Datatype rec_types[] = {Datatype::float64(), Datatype::int32(),
+                                      Datatype::float64()};
+        const Datatype particles = Datatype::contiguous(
+            7000, Datatype::structure(rec_lens, rec_displs, rec_types));
+        // Columns 10..69 of a 480 x 80 matrix of doubles: 225 KiB, 4 chunks.
+        const int sizes[] = {480, 80};
+        const int subsizes[] = {480, 60};
+        const int starts[] = {0, 10};
+        const Datatype columns =
+            Datatype::subarray(sizes, subsizes, starts, Datatype::float64());
+
+        int tag = 0;
+        for (const Datatype& type : {particles, columns}) {
+            const auto span = static_cast<std::size_t>(type.extent());
+            std::vector<double> out(span / sizeof(double));
+            for (std::size_t i = 0; i < out.size(); ++i)
+                out[i] = stamp(comm.rank(), i * sizeof(double));
+            std::vector<double> in(out.size(), -1.0);
+            ASSERT_TRUE(comm.sendrecv(out.data(), 1, type, right, tag, in.data(), 1, type,
+                                      left, tag)
+                            .is_ok());
+            ++tag;
+            std::size_t checked = 0;
+            type.for_each_block(0, 1, [&](std::ptrdiff_t off, std::size_t len) {
+                // Every block starts with a double; a record's int32 is the
+                // partial tail of its first block and is not compared.
+                for (std::size_t b = 0; b + sizeof(double) <= len; b += sizeof(double)) {
+                    const std::size_t at = static_cast<std::size_t>(off) + b;
+                    EXPECT_EQ(in[at / sizeof(double)], stamp(left, at));
+                    ++checked;
+                }
+            });
+            EXPECT_GT(checked, 0u);
+        }
+
+        auto wmem = comm.alloc_mem(16_KiB);
+        ASSERT_TRUE(wmem.is_ok());
+        // The arena hands back memory the rendezvous rings used: clear it.
+        std::fill(wmem.value().begin(), wmem.value().end(), std::byte{0});
+        auto win = comm.win_create(wmem.value().data(), 16_KiB);
+        const Datatype strided16 = Datatype::vector(16, 1, 2, Datatype::float64());
+        const Datatype strided512 = Datatype::vector(512, 1, 2, Datatype::float64());
+        std::vector<double> src(1024);
+        for (std::size_t i = 0; i < src.size(); ++i)
+            src[i] = stamp(comm.rank(), i);
+        win->fence();
+        ASSERT_TRUE(win->put(src.data(), 1, strided16, right, 0).is_ok());
+        win->fence();
+        std::vector<double> got(1024, -1.0);
+        ASSERT_TRUE(win->get(got.data(), 1, strided512, left, 0).is_ok());
+        win->fence();
+        ASSERT_TRUE(win->accumulate(src.data(), 1, strided16, right, 8_KiB,
+                                    Win::ReduceOp::sum)
+                        .is_ok());
+        win->fence();
+        // The left neighbour's window holds what its own left neighbour put.
+        const int left2 = (comm.rank() + n - 2) % n;
+        EXPECT_EQ(got[0], stamp(left2, 0));
+        EXPECT_EQ(got[30], stamp(left2, 30));
+        EXPECT_EQ(got[32], 0.0);
+        EXPECT_EQ(got[1], -1.0);
+        const auto* acc = reinterpret_cast<const double*>(wmem.value().data() + 8_KiB);
+        EXPECT_EQ(acc[2], stamp(left, 2));
+        win->fence();
+    });
+    expect_pin(summarize(cluster), Pin{8146620, 762, 0xabc70248dcd344f9ull});
 }
 
 }  // namespace
