@@ -29,16 +29,18 @@ FLAGS="-std=c++20 -Isrc -fsyntax-only -Wall -Wextra -Wpedantic -Wshadow
        -Wmissing-declarations -Wredundant-decls -Wswitch-enum -Werror"
 # Strict zone: the engine and the checker/explorer are the layers where a
 # silent narrowing or qualifier drop can corrupt a schedule decision or a
-# vector clock, and the datatype layer is where one corrupts a byte offset
-# or a block count, so they carry every extra diagnostic g++ offers. New
-# warnings here fail the gate outright.
+# vector clock, the datatype layer is where one corrupts a byte offset or a
+# block count, and the collective builders and request engine do rank,
+# offset, stream-position and tag arithmetic, so they carry every extra
+# diagnostic g++ offers. New warnings here fail the gate outright.
 STRICT_FLAGS="-Wconversion -Wsign-conversion -Wcast-qual -Wlogical-op
               -Wduplicated-cond -Wduplicated-branches"
 fail=0
 for f in $sources; do
     extra=""
     case "$f" in
-        src/sim/*|src/check/*|src/mpi/datatype/*) extra="$STRICT_FLAGS" ;;
+        src/sim/*|src/check/*|src/mpi/datatype/*|src/mpi/coll/*|src/mpi/req/*)
+            extra="$STRICT_FLAGS" ;;
     esac
     # shellcheck disable=SC2086
     if ! "$CXX" $FLAGS $extra "$f"; then

@@ -1,7 +1,8 @@
-// Engine dispatch: Comm's collective methods land here, an algorithm is
-// selected (tuning.hpp), the per-communicator segment set is bootstrapped on
-// first segment-routed use, and the call is recorded in coll.* metrics and
-// the trace.
+// Engine dispatch: Comm's collective methods land here. Each call selects
+// an algorithm (tuning.hpp), bootstraps the per-communicator segment set on
+// first segment-routed use, builds the member's schedule (algos.hpp) and
+// runs it with the blocking driver, recording coll.* metrics and a trace
+// span.
 #include <cstring>
 #include <string>
 
@@ -150,17 +151,29 @@ private:
     std::uint64_t seq_ = 0;
 };
 
+/// Build the calling member's schedule for the selected algorithm and run
+/// it to completion: over segment streams when `set` is non-null, over p2p
+/// messages otherwise.
+template <class Build>
+Status run(Comm& c, Op op, Alg a, std::size_t bytes, CollSegmentSet* set, Build&& build) {
+    const OpCall call(c, op, a, bytes, set != nullptr);
+    Sched s(c, set != nullptr ? StepKind::segment : StepKind::p2p, tag_base(op));
+    build(s);
+    return s.run(set);
+}
+
 }  // namespace
 
 void barrier(Comm& c) {
     if (c.size() <= 1) return;
     CollSegmentSet* set = nullptr;
     const Alg a = choose(c, Op::barrier, 0, &set);
-    const OpCall call(c, Op::barrier, a, 0, set != nullptr);
-    if (a == Alg::flags && set != nullptr)
+    if (a == Alg::flags && set != nullptr) {
+        const OpCall call(c, Op::barrier, a, 0, true);
         set->barrier_flags(c);
-    else
-        p2p::barrier(c);
+        return;
+    }
+    (void)run(c, Op::barrier, a, 0, nullptr, [](Sched& s) { barrier_dissemination(s); });
 }
 
 Status bcast(Comm& c, void* buf, int count, const Datatype& ty, int root) {
@@ -170,13 +183,15 @@ Status bcast(Comm& c, void* buf, int count, const Datatype& ty, int root) {
     const std::size_t bytes = type.size() * static_cast<std::size_t>(count);
     CollSegmentSet* set = nullptr;
     const Alg a = choose(c, Op::bcast, bytes, &set);
-    const OpCall call(c, Op::bcast, a, bytes, set != nullptr);
-    if (a == Alg::flat) return seg::bcast_flat(c, *set, buf, count, type, root);
-    if (a == Alg::binomial)
-        return seg::bcast_binomial(c, *set, buf, count, type, root);
-    if (a == Alg::scatter_ag)
-        return seg::bcast_scatter_ag(c, *set, buf, count, type, root);
-    return p2p::bcast(c, buf, count, type, root);
+    return run(c, Op::bcast, a, bytes, set, [&](Sched& s) {
+        const XferView v = typed(buf, count, type);
+        if (a == Alg::flat)
+            bcast_flat(s, v, bytes, root);
+        else if (a == Alg::scatter_ag)
+            bcast_scatter_ag(s, v, bytes, root);
+        else
+            bcast_binomial(s, v, bytes, root);
+    });
 }
 
 Status reduce_sum(Comm& c, const double* in, double* out, int n, int root) {
@@ -187,9 +202,8 @@ Status reduce_sum(Comm& c, const double* in, double* out, int n, int root) {
     const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(double);
     CollSegmentSet* set = nullptr;
     const Alg a = choose(c, Op::reduce, bytes, &set);
-    const OpCall call(c, Op::reduce, a, bytes, set != nullptr);
-    if (a == Alg::binomial) return seg::reduce_binomial(c, *set, in, out, n, root);
-    return p2p::reduce_sum(c, in, out, n, root);
+    return run(c, Op::reduce, a, bytes, set,
+               [&](Sched& s) { reduce_binomial(s, in, out, n, root); });
 }
 
 Status allreduce_sum(Comm& c, const double* in, double* out, int n) {
@@ -200,25 +214,16 @@ Status allreduce_sum(Comm& c, const double* in, double* out, int n) {
     const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(double);
     CollSegmentSet* set = nullptr;
     const Alg a = choose(c, Op::allreduce, bytes, &set);
-    const OpCall call(c, Op::allreduce, a, bytes, set != nullptr);
-    CollMetrics& m = c.cluster().coll_runtime().metrics();
-    if (a == Alg::rdouble) {
-        if (bytes <= c.cluster().options().cfg.coll_small_allreduce)
-            m.small_allreduce->inc();
-        return p2p::allreduce_rdouble(c, in, out, n);
-    }
-    if (a == Alg::ring) return seg::allreduce_ring(c, *set, in, out, n);
-    if (a == Alg::reduce_bcast) {
-        Status st = seg::reduce_binomial(c, *set, in, out, n, 0);
-        if (!st) return st;
-        Datatype byte = Datatype::byte_();
-        byte.commit(c.cluster().options().cfg);
-        return seg::bcast_binomial(c, *set, out, static_cast<int>(bytes), byte, 0);
-    }
-    // The seed composition, kept as the explicit "p2p" behaviour.
-    Status st = p2p::reduce_sum(c, in, out, n, 0);
-    if (!st) return st;
-    return p2p::bcast(c, out, static_cast<int>(bytes), Datatype::byte_(), 0);
+    if (a == Alg::rdouble && bytes <= c.cluster().options().cfg.coll_small_allreduce)
+        c.cluster().coll_runtime().metrics().small_allreduce->inc();
+    return run(c, Op::allreduce, a, bytes, set, [&](Sched& s) {
+        if (a == Alg::rdouble)
+            allreduce_rdouble(s, in, out, n);
+        else if (a == Alg::ring)
+            allreduce_ring(s, in, out, n);
+        else  // reduce_bcast, or the seed "p2p" composition
+            allreduce_reduce_bcast(s, in, out, n);
+    });
 }
 
 Status allgather(Comm& c, const void* in, std::size_t bytes_each, void* out) {
@@ -228,10 +233,8 @@ Status allgather(Comm& c, const void* in, std::size_t bytes_each, void* out) {
     }
     CollSegmentSet* set = nullptr;
     const Alg a = choose(c, Op::allgather, bytes_each, &set);
-    const OpCall call(c, Op::allgather, a, bytes_each, set != nullptr);
-    if (a == Alg::ring || a == Alg::flat)
-        return seg::allgather_ring(c, *set, in, bytes_each, out);
-    return p2p::allgather(c, in, bytes_each, out);
+    return run(c, Op::allgather, a, bytes_each, set,
+               [&](Sched& s) { allgather_ring(s, in, bytes_each, out); });
 }
 
 Status allgather_typed(Comm& c, const void* in, int count, const Datatype& ty,
@@ -250,10 +253,12 @@ Status allgather_typed(Comm& c, const void* in, int count, const Datatype& ty,
     }
     CollSegmentSet* set = nullptr;
     const Alg a = choose(c, Op::allgather, bytes, &set);
-    const OpCall call(c, Op::allgather, a, bytes, set != nullptr);
-    if (a == Alg::ring || a == Alg::flat)
-        return seg::allgather_flat_typed(c, *set, in, count, type, out);
-    return p2p::allgather_typed(c, in, count, type, out);
+    return run(c, Op::allgather, a, bytes, set, [&](Sched& s) {
+        if (set != nullptr)
+            allgather_flat_typed(s, in, count, type, out);
+        else
+            allgather_staged_typed(s, in, count, type, out);
+    });
 }
 
 Status gather(Comm& c, const void* in, std::size_t bytes_each, void* out, int root) {
@@ -261,8 +266,8 @@ Status gather(Comm& c, const void* in, std::size_t bytes_each, void* out, int ro
         std::memcpy(out, in, bytes_each);
         return Status::ok();
     }
-    const OpCall call(c, Op::gather, Alg::p2p, bytes_each, false);
-    return p2p::gather(c, in, bytes_each, out, root);
+    return run(c, Op::gather, Alg::p2p, bytes_each, nullptr,
+               [&](Sched& s) { coll::gather(s, in, bytes_each, out, root); });
 }
 
 Status scatter(Comm& c, const void* in, std::size_t bytes_each, void* out, int root) {
@@ -270,8 +275,8 @@ Status scatter(Comm& c, const void* in, std::size_t bytes_each, void* out, int r
         std::memcpy(out, in, bytes_each);
         return Status::ok();
     }
-    const OpCall call(c, Op::scatter, Alg::p2p, bytes_each, false);
-    return p2p::scatter(c, in, bytes_each, out, root);
+    return run(c, Op::scatter, Alg::p2p, bytes_each, nullptr,
+               [&](Sched& s) { coll::scatter(s, in, bytes_each, out, root); });
 }
 
 Status alltoall(Comm& c, const void* in, std::size_t bytes_each, void* out) {
@@ -281,11 +286,12 @@ Status alltoall(Comm& c, const void* in, std::size_t bytes_each, void* out) {
     }
     CollSegmentSet* set = nullptr;
     const Alg a = choose(c, Op::alltoall, bytes_each, &set);
-    const OpCall call(c, Op::alltoall, a, bytes_each, set != nullptr);
-    if (a == Alg::spread) return seg::alltoall_spread(c, *set, in, bytes_each, out);
-    if (a == Alg::pairwise)
-        return seg::alltoall_pairwise(c, *set, in, bytes_each, out);
-    return p2p::alltoall(c, in, bytes_each, out);
+    return run(c, Op::alltoall, a, bytes_each, set, [&](Sched& s) {
+        if (a == Alg::spread)
+            alltoall_spread(s, in, bytes_each, out);
+        else
+            alltoall_pairwise(s, in, bytes_each, out);
+    });
 }
 
 }  // namespace scimpi::mpi::coll

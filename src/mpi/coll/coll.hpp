@@ -1,8 +1,8 @@
 // The SCI-native collective engine (DESIGN.md §11). Comm's collective
 // methods forward here; the engine selects an algorithm (tuning.hpp), lazily
-// bootstraps a per-communicator collective segment set (segment_set.hpp) and
-// dispatches to the p2p or segment implementation, recording coll.* metrics
-// and a trace span per call.
+// bootstraps a per-communicator collective segment set (segment_set.hpp),
+// builds the algorithm's schedule (algos.hpp) over p2p or segment steps and
+// runs it, recording coll.* metrics and a trace span per call.
 #pragma once
 
 #include <algorithm>
@@ -27,14 +27,23 @@ namespace scimpi::mpi::coll {
 class CollSegmentSet;
 
 // Reserved tags (context-scoped, never matched by user ANY_TAG receives).
-// The seed p2p algorithms keep their historical tags (-16..-200-s); the
-// segment engine claims the -1024 region for stream fallbacks and -1100 for
-// barrier tokens.
-inline constexpr int kTagBarrier = -16;
-inline constexpr int kTagBcast = -32;
-inline constexpr int kTagReduce = -48;
-inline constexpr int kTagGather = -64;
-inline constexpr int kTagRdouble = -300;
+// A blocking collective's schedule over p2p steps tags round i
+// `tag_base(op) - i`; the segment engine claims the -1024 region for stream
+// fallbacks and -1100 for barrier tokens; nonblocking schedules live below
+// kTagNbcBase (sched.hpp).
+constexpr int tag_base(Op op) {
+    switch (op) {
+        case Op::barrier: return -16;
+        case Op::bcast: return -32;
+        case Op::reduce: return -48;
+        case Op::allgather: return -64;
+        case Op::gather: return -164;
+        case Op::scatter: return -165;
+        case Op::alltoall: return -264;
+        case Op::allreduce: return -300;
+    }
+    return -16;
+}
 inline constexpr int kTagStreamFbk = -1024;  ///< minus the stream slot
 inline constexpr int kTagBarrierFbk = -1100; ///< minus the dissemination round
 

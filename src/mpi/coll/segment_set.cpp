@@ -94,7 +94,9 @@ void CollSegmentSet::init_member(Comm& c) {
     // all ranks take identical paths even when one arena is exhausted.
     std::uint8_t mine = ok ? 1 : 0;
     std::vector<std::uint8_t> all(static_cast<std::size_t>(n_));
-    const Status st = p2p::allgather(c, &mine, 1, all.data());
+    Sched veto(c, StepKind::p2p, tag_base(Op::allgather));
+    allgather_ring(veto, &mine, 1, all.data());
+    const Status st = veto.run(nullptr);
     SCIMPI_REQUIRE(st.is_ok(),
                    "collective segment-set bootstrap failed: " + st.to_string());
     bool every = true;
@@ -324,7 +326,7 @@ Status CollSegmentSet::fallback_send(Comm& c, ActiveSend& s, std::size_t ci) {
     t.sent = end_seq;
     t.acked = end_seq;
     return c.rank_state().send(buf.data(), static_cast<int>(buf.size()),
-                               Datatype::byte_(), c.world_rank(s.to),
+                               cluster_.byte_type(), c.world_rank(s.to),
                                kTagStreamFbk - s.slot, c.context());
 }
 
@@ -342,7 +344,7 @@ bool CollSegmentSet::fallback_recv(Comm& c, ActiveRecv& r) {
     std::vector<std::byte> buf(env->bytes);
     const RecvResult res =
         c.rank_state().recv(buf.data(), static_cast<int>(buf.size()),
-                            Datatype::byte_(), c.world_rank(r.from), tag,
+                            cluster_.byte_type(), c.world_rank(r.from), tag,
                             c.context());
     SCIMPI_REQUIRE(res.status.is_ok(), "coll: fallback receive failed");
     std::uint64_t start_seq = 0;
@@ -506,40 +508,18 @@ Status CollSegmentSet::pump_all(Comm& c, std::span<ActiveSend> sends,
     return rst;
 }
 
-Status CollSegmentSet::run_streams(Comm& c, std::span<const StreamOp> sends,
-                                   std::span<const StreamOp> recvs) {
+Status CollSegmentSet::run_streams(Comm& c, std::span<const Step> steps) {
     std::vector<ActiveSend> ss;
-    ss.reserve(sends.size());
-    for (const StreamOp& o : sends)
-        ss.push_back({.to = o.peer, .slot = o.slot, .v = o.v, .pos = o.pos,
-                      .len = o.len});
     std::vector<ActiveRecv> rr;
-    rr.reserve(recvs.size());
-    for (const StreamOp& o : recvs)
-        rr.push_back({.from = o.peer, .slot = o.slot, .v = o.v, .pos = o.pos,
-                      .len = o.len});
+    for (const Step& st : steps) {
+        if (st.send)
+            ss.push_back({.to = st.peer, .slot = st.slot, .v = st.v, .pos = st.pos,
+                          .len = st.len});
+        else
+            rr.push_back({.from = st.peer, .slot = st.slot, .v = st.v, .pos = st.pos,
+                          .len = st.len});
+    }
     return pump_all(c, ss, rr);
-}
-
-Status CollSegmentSet::send_stream(Comm& c, int to, int slot, const XferView& v,
-                                   std::size_t pos, std::size_t len) {
-    ActiveSend s{.to = to, .slot = slot, .v = v, .pos = pos, .len = len};
-    return pump_all(c, {&s, 1}, {});
-}
-
-Status CollSegmentSet::recv_stream(Comm& c, int from, int slot, const XferView& v,
-                                   std::size_t pos, std::size_t len) {
-    ActiveRecv r{.from = from, .slot = slot, .v = v, .pos = pos, .len = len};
-    return pump_all(c, {}, {&r, 1});
-}
-
-Status CollSegmentSet::xchg_streams(Comm& c, int to, int sslot, const XferView& sv,
-                                    std::size_t spos, std::size_t slen, int from,
-                                    int rslot, const XferView& rv, std::size_t rpos,
-                                    std::size_t rlen) {
-    ActiveSend s{.to = to, .slot = sslot, .v = sv, .pos = spos, .len = slen};
-    ActiveRecv r{.from = from, .slot = rslot, .v = rv, .pos = rpos, .len = rlen};
-    return pump_all(c, {&s, 1}, {&r, 1});
 }
 
 void CollSegmentSet::barrier_flags(Comm& c) {
@@ -564,7 +544,7 @@ void CollSegmentSet::barrier_flags(Comm& c) {
             // Tokens are short messages: they ride the doorbell path, which
             // is modeled hardware-reliable, so the round always completes.
             cm_.fallbacks->inc();
-            (void)c.rank_state().send(&gen, sizeof gen, Datatype::byte_(),
+            (void)c.rank_state().send(&gen, sizeof gen, cluster_.byte_type(),
                                       c.world_rank(dst), kTagBarrierFbk - round,
                                       c.context());
         }
@@ -579,7 +559,7 @@ void CollSegmentSet::barrier_flags(Comm& c) {
                            /*blocking=*/false, c.context())
                     .has_value()) {
                 std::uint64_t tg = 0;
-                (void)c.rank_state().recv(&tg, sizeof tg, Datatype::byte_(),
+                (void)c.rank_state().recv(&tg, sizeof tg, cluster_.byte_type(),
                                           c.world_rank(src),
                                           kTagBarrierFbk - round, c.context());
                 if (tg >= gen) break;

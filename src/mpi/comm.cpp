@@ -1,6 +1,6 @@
 #include "mpi/comm.hpp"
 
-#include "mpi/req/nbc.hpp"
+#include "mpi/coll/algos.hpp"
 #include "mpi/rma/window.hpp"
 
 namespace scimpi::mpi {
@@ -129,34 +129,36 @@ void Comm::start(Request& req) { rank_->requests().start(req); }
 
 void Comm::start_all(std::span<Request> reqs) { rank_->requests().startall(reqs); }
 
+namespace {
+/// A p2p schedule on the request engine's next tag band for `c`.
+std::shared_ptr<coll::Sched> nbc_sched(Comm& c) {
+    const int tag_base = c.rank_state().requests().nbc_tag_base(c.context(), c.size());
+    return std::make_shared<coll::Sched>(c, coll::StepKind::p2p, tag_base);
+}
+}  // namespace
+
 Request Comm::ibarrier() {
-    req::Engine& eng = rank_->requests();
-    return eng.start_coll(req::make_ibarrier(*rank_, group_->members, local_rank_,
-                                             context(),
-                                             eng.nbc_tag_base(context())));
+    auto s = nbc_sched(*this);
+    coll::barrier_dissemination(*s);
+    return rank_->requests().start_coll(std::move(s));
 }
 
 Request Comm::ibcast(void* buf, std::size_t bytes, int root) {
-    req::Engine& eng = rank_->requests();
-    return eng.start_coll(req::make_ibcast(*rank_, group_->members, local_rank_,
-                                           context(), eng.nbc_tag_base(context()),
-                                           buf, bytes, root));
+    auto s = nbc_sched(*this);
+    coll::bcast_binomial(*s, coll::raw(buf), bytes, root);
+    return rank_->requests().start_coll(std::move(s));
 }
 
 Request Comm::iallreduce_sum(const double* in, double* out, int n) {
-    req::Engine& eng = rank_->requests();
-    return eng.start_coll(req::make_iallreduce(*rank_, group_->members, local_rank_,
-                                               context(),
-                                               eng.nbc_tag_base(context()), in, out,
-                                               n));
+    auto s = nbc_sched(*this);
+    coll::allreduce_rdouble(*s, in, out, n);
+    return rank_->requests().start_coll(std::move(s));
 }
 
 Request Comm::iallgather(const void* in, std::size_t bytes_each, void* out) {
-    req::Engine& eng = rank_->requests();
-    return eng.start_coll(req::make_iallgather(*rank_, group_->members, local_rank_,
-                                               context(),
-                                               eng.nbc_tag_base(context()), in,
-                                               bytes_each, out));
+    auto s = nbc_sched(*this);
+    coll::allgather_ring(*s, in, bytes_each, out);
+    return rank_->requests().start_coll(std::move(s));
 }
 
 Status Comm::sendrecv(const void* sbuf, int scount, const Datatype& stype, int dst,
@@ -185,7 +187,7 @@ Status Comm::sendrecv_replace(void* buf, int count, const Datatype& type, int ds
     auto r = rank_->irecv(buf, count, t,
                           src == ANY_SOURCE ? ANY_SOURCE : world_rank(src), rtag,
                           context());
-    auto s = rank_->isend(staged.data(), static_cast<int>(bytes), Datatype::byte_(),
+    auto s = rank_->isend(staged.data(), static_cast<int>(bytes), cluster_->byte_type(),
                           world_rank(dst), stag, context());
     rank_->wait(*s);
     rank_->wait(*r);

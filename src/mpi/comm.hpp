@@ -87,8 +87,9 @@ public:
     void start(Request& req);
     void start_all(std::span<Request> reqs);
 
-    // ---- nonblocking collectives (req/nbc.hpp schedules; byte-oriented
-    // like allgather(in, bytes_each, out); complete via wait/test) ----
+    // ---- nonblocking collectives (coll/algos.hpp schedules pumped by the
+    // request engine; byte-oriented like allgather(in, bytes_each, out);
+    // complete via wait/test) ----
     Request ibarrier();
     Request ibcast(void* buf, std::size_t bytes, int root);
     Request iallreduce_sum(const double* in, double* out, int n);

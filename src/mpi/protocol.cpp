@@ -361,7 +361,11 @@ Status Rank::pack_into_ring(SendOp& op, const sci::SciMapping& ring,
     ++stats_.generic_packs;
     pm_.generic_packs->inc();
     pm_.generic_staged_bytes->add(len);
-    std::vector<std::byte> scratch(len);
+    // The staging buffer is reused across chunks and grows on demand; it is
+    // taken out of the rank while in use, so a nested pack (another process
+    // driving this rank's progress during the delays below) gets its own.
+    std::vector<std::byte> scratch = std::move(pack_scratch_);
+    if (scratch.size() < len) scratch.resize(len);
     GenericPacker gp(op.type, op.count, src);
     const PackWork work = gp.pack(pos, len, scratch.data());
     const SimTime stage_t0 = self.now();
@@ -375,6 +379,7 @@ Status Rank::pack_into_ring(SendOp& op, const sci::SciMapping& ring,
     const Status st = adapter().write(self, ring, ring_off, scratch.data(), len, len);
     if (g.enabled())
         g.node(self.id(), obs::EvCat::pio, "pack:write", write_t0, self.now(), len);
+    pack_scratch_ = std::move(scratch);
     return st;
 }
 

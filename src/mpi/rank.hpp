@@ -251,6 +251,9 @@ private:
 
     std::unique_ptr<req::Engine> req_;  ///< lazily created (see requests())
 
+    /// Generic-path staging buffer of pack_into_ring, grown on demand.
+    std::vector<std::byte> pack_scratch_;
+
     int next_context_ = 1;  ///< allocator for Comm::split (see comm.cpp)
     std::vector<std::uint64_t> send_seq_;  // per destination
 

@@ -1,7 +1,10 @@
 #include "mpi/req/request.hpp"
 
+#include <algorithm>
+#include <limits>
+
+#include "mpi/coll/sched.hpp"
 #include "mpi/rank.hpp"
-#include "mpi/req/nbc.hpp"
 #include "mpi/runtime.hpp"
 #include "obs/profiler.hpp"
 #include "sim/engine.hpp"
@@ -153,7 +156,11 @@ void Engine::startall(std::span<Request> rs) {
     for (Request& r : rs) start(r);
 }
 
-Request Engine::start_coll(std::shared_ptr<NbcSched> sched) {
+Request Engine::start_coll(std::shared_ptr<coll::Sched> sched) {
+    SCIMPI_REQUIRE(sched->kind() == coll::StepKind::p2p,
+                   "nonblocking collectives run p2p steps only");
+    SCIMPI_REQUIRE(sched->span() <= coll::tag_band(sched->comm().size()),
+                   "collective schedule outgrew its tag band");
     Request r;
     r.st_ = std::make_shared<State>();
     State& s = *r.st_;
@@ -167,12 +174,16 @@ Request Engine::start_coll(std::shared_ptr<NbcSched> sched) {
     return r;
 }
 
-int Engine::nbc_tag_base(int context) {
-    for (auto& [ctx, seq] : nbc_seq_)
-        if (ctx == context)
-            return kTagNbcBase - (seq++ % kNbcSeqWindow) * kNbcMaxRounds;
-    nbc_seq_.emplace_back(context, 1);
-    return kTagNbcBase;
+int Engine::nbc_tag_base(int context, int comm_size) {
+    auto it = std::find_if(nbc_seq_.begin(), nbc_seq_.end(),
+                           [context](const auto& e) { return e.first == context; });
+    if (it == nbc_seq_.end()) it = nbc_seq_.emplace(nbc_seq_.end(), context, 0);
+    const std::int64_t band = coll::tag_band(comm_size);
+    const std::int64_t base =
+        coll::kTagNbcBase - static_cast<std::int64_t>(it->second++ % coll::kNbcSeqWindow) * band;
+    SCIMPI_REQUIRE(base - band > std::numeric_limits<int>::min(),
+                   "communicator too large for the nonblocking-collective tag space");
+    return static_cast<int>(base);
 }
 
 void Engine::pump() {
@@ -183,7 +194,7 @@ void Engine::pump() {
     pumping_ = true;
     for (std::size_t i = 0; i < scheds_.size(); ++i) {
         // Copy the shared_ptr: a nested completion may append to scheds_.
-        const std::shared_ptr<NbcSched> sched = scheds_[i];
+        const std::shared_ptr<coll::Sched> sched = scheds_[i];
         sched->pump();
     }
     std::erase_if(scheds_, [](const auto& s) { return s->done(); });

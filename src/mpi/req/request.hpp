@@ -1,7 +1,7 @@
 // MPI-style request handles and the per-rank request/progress engine.
 //
 // A Request unifies the protocol layer's SendOp/RecvOp and the nonblocking
-// collective schedules (req/nbc.hpp) behind one completion interface:
+// collective schedules (coll/sched.hpp) behind one completion interface:
 // Isend/Irecv/Wait/Test/Waitall/Waitany/Testsome, plus persistent requests
 // (Send_init/Recv_init/Start/Startall) that re-issue a frozen argument set
 // without re-validating it each iteration.
@@ -36,10 +36,13 @@ class Rank;
 struct SendOp;
 struct RecvOp;
 
+namespace coll {
+class Sched;
+}
+
 namespace req {
 
 class Engine;
-class NbcSched;
 
 enum class Kind : std::uint8_t { none, send, recv, coll };
 
@@ -51,7 +54,7 @@ struct State {
     bool done = false;     ///< non-persistent only: finalized for good
     std::shared_ptr<SendOp> send;
     std::shared_ptr<RecvOp> recv;
-    std::shared_ptr<NbcSched> coll;
+    std::shared_ptr<coll::Sched> coll;
     Status status;
     RecvResult result;  ///< receives only, valid once finalized
     // Frozen arguments (persistent requests re-issue from these).
@@ -110,13 +113,15 @@ public:
     void start(Request& r);
     void startall(std::span<Request> rs);
 
-    /// Register a built nonblocking-collective schedule and issue its first
+    /// Register a built p2p-kind collective schedule and issue its first
     /// round; the returned request completes when the program runs dry.
-    Request start_coll(std::shared_ptr<NbcSched> sched);
-    /// Tag base for the next collective on `context` (advances a per-context
-    /// sequence number; members of a communicator issue collectives in the
-    /// same order, so the bases agree across ranks).
-    int nbc_tag_base(int context);
+    Request start_coll(std::shared_ptr<coll::Sched> sched);
+    /// Tag base for the next nonblocking collective on a `comm_size`-rank
+    /// communicator `context` (advances a per-context sequence number;
+    /// members issue collectives in the same order, so the bases agree
+    /// across ranks). Each schedule owns a band of coll::tag_band(comm_size)
+    /// tags.
+    int nbc_tag_base(int context, int comm_size);
 
     // Completion.
     Status wait(Request& r);
@@ -143,7 +148,7 @@ private:
     void issue(State& s);
 
     Rank& rank_;
-    std::vector<std::shared_ptr<NbcSched>> scheds_;
+    std::vector<std::shared_ptr<coll::Sched>> scheds_;
     std::vector<std::pair<int, int>> nbc_seq_;  ///< context -> next sequence
     bool pumping_ = false;
     obs::Histogram* overlap_pct_ = nullptr;  ///< req.overlap_pct

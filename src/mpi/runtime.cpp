@@ -105,6 +105,8 @@ Cluster::Cluster(ClusterOptions opt)
     if (const char* ff = std::getenv("SCIMPI_DIRECT_PACK");
         ff != nullptr && ff[0] != '\0')
         opt_.cfg.use_direct_pack_ff = env_flag("SCIMPI_DIRECT_PACK");
+    byte_ = Datatype::byte_();
+    byte_.commit(opt_.cfg);
     if (!opt_.stats_file.empty()) opt_.collect_stats = true;
     metrics_.enable(opt_.collect_stats);
     engine_.profiler().enable(opt_.profile);

@@ -167,6 +167,11 @@ public:
     /// segment-set pool (src/mpi/coll/). Always present.
     [[nodiscard]] coll::CollRuntime& coll_runtime() { return *coll_; }
 
+    /// The byte datatype, committed once with this cluster's config: every
+    /// library-internal message of raw bytes (collective steps, segment
+    /// fallbacks, staging copies) sends it instead of committing its own.
+    [[nodiscard]] const Datatype& byte_type() const { return byte_; }
+
     /// Structured snapshot of the run: every registry counter/gauge plus the
     /// per-link wire statistics. Valid any time; typically taken after run().
     [[nodiscard]] obs::RunReport stats_report() const;
@@ -175,6 +180,7 @@ private:
     void init_recorder();
 
     ClusterOptions opt_;
+    Datatype byte_;
     obs::MetricsRegistry metrics_;
     obs::Recorder recorder_;
     bool telemetry_flushed_ = false;

@@ -61,44 +61,176 @@ TEST(DeterminismPin, FourRankRing) {
     expect_pin(summarize(cluster), Pin{1634389, 448, 0x844526548ae94a33ull});
 }
 
+/// Barrier, bcast, reduce, allreduce and a raw allgather across the sizes
+/// where the automatic selection switches algorithms.
+void collective_tour(Comm& comm) {
+    const int rank = comm.rank();
+    const int n = comm.size();
+    comm.barrier();
+    for (const std::size_t bytes : {4_KiB, 16_KiB, 256_KiB}) {
+        std::vector<double> data(bytes / sizeof(double), -1.0);
+        if (rank == 2) std::iota(data.begin(), data.end(), 7.0);
+        ASSERT_TRUE(
+            comm.bcast(data.data(), static_cast<int>(data.size()), Datatype::float64(), 2)
+                .is_ok());
+        EXPECT_EQ(data.back(), 7.0 + static_cast<double>(data.size()) - 1.0);
+    }
+    {
+        std::vector<double> in(32_KiB / sizeof(double), rank + 1.0);
+        std::vector<double> out(in.size(), 0.0);
+        ASSERT_TRUE(comm.reduce_sum(in.data(), out.data(), static_cast<int>(in.size()), 0)
+                        .is_ok());
+        if (rank == 0) {
+            EXPECT_EQ(out.front(), n * (n + 1) / 2.0);
+        }
+    }
+    for (const std::size_t bytes : {1_KiB, 32_KiB, 256_KiB}) {
+        std::vector<double> in(bytes / sizeof(double), rank + 1.0);
+        std::vector<double> out(in.size(), 0.0);
+        ASSERT_TRUE(
+            comm.allreduce_sum(in.data(), out.data(), static_cast<int>(in.size())).is_ok());
+        EXPECT_EQ(out.back(), n * (n + 1) / 2.0);
+    }
+    std::vector<int> mine(64, rank);
+    std::vector<int> all(mine.size() * static_cast<std::size_t>(n), -1);
+    ASSERT_TRUE(comm.allgather(mine.data(), mine.size() * sizeof(int), all.data()).is_ok());
+    EXPECT_EQ(all.back(), n - 1);
+}
+
 TEST(DeterminismPin, CollectiveTour) {
     ClusterOptions opt;
     opt.nodes = 6;
     Cluster cluster(opt);
-    cluster.run([](Comm& comm) {
-        const int rank = comm.rank();
-        const int n = comm.size();
-        comm.barrier();
-        for (const std::size_t bytes : {4_KiB, 16_KiB, 256_KiB}) {
-            std::vector<double> data(bytes / sizeof(double), -1.0);
-            if (rank == 2) std::iota(data.begin(), data.end(), 7.0);
-            ASSERT_TRUE(
-                comm.bcast(data.data(), static_cast<int>(data.size()), Datatype::float64(), 2)
-                    .is_ok());
-            EXPECT_EQ(data.back(), 7.0 + static_cast<double>(data.size()) - 1.0);
-        }
-        {
-            std::vector<double> in(32_KiB / sizeof(double), rank + 1.0);
-            std::vector<double> out(in.size(), 0.0);
-            ASSERT_TRUE(comm.reduce_sum(in.data(), out.data(), static_cast<int>(in.size()), 0)
-                            .is_ok());
-            if (rank == 0) {
-                EXPECT_EQ(out.front(), n * (n + 1) / 2.0);
-            }
-        }
-        for (const std::size_t bytes : {1_KiB, 32_KiB, 256_KiB}) {
-            std::vector<double> in(bytes / sizeof(double), rank + 1.0);
-            std::vector<double> out(in.size(), 0.0);
-            ASSERT_TRUE(
-                comm.allreduce_sum(in.data(), out.data(), static_cast<int>(in.size())).is_ok());
-            EXPECT_EQ(out.back(), n * (n + 1) / 2.0);
-        }
-        std::vector<int> mine(64, rank);
-        std::vector<int> all(mine.size() * static_cast<std::size_t>(n), -1);
-        ASSERT_TRUE(comm.allgather(mine.data(), mine.size() * sizeof(int), all.data()).is_ok());
-        EXPECT_EQ(all.back(), n - 1);
-    });
+    cluster.run([](Comm& comm) { collective_tour(comm); });
     expect_pin(summarize(cluster), Pin{8516170, 3267, 0x545766ec540864b7ull});
+}
+
+/// collective_tour plus alltoall, gather, scatter and a typed (strided)
+/// allgather: every collective entry point at least once.
+void full_collective_tour(Comm& comm) {
+    collective_tour(comm);
+    const int rank = comm.rank();
+    const int n = comm.size();
+    const auto un = static_cast<std::size_t>(n);
+    for (const std::size_t bytes : {std::uint64_t{512}, 32_KiB}) {
+        const std::size_t elems = bytes / sizeof(double);
+        std::vector<double> in(elems * un);
+        for (std::size_t i = 0; i < in.size(); ++i)
+            in[i] = rank * 1000.0 + static_cast<double>(i / elems);
+        std::vector<double> out(in.size(), -1.0);
+        ASSERT_TRUE(comm.alltoall(in.data(), bytes, out.data()).is_ok());
+        for (int src = 0; src < n; ++src)
+            EXPECT_EQ(out[static_cast<std::size_t>(src) * elems], src * 1000.0 + rank);
+    }
+    {
+        std::vector<double> mine(128, rank + 0.25);
+        std::vector<double> all(mine.size() * un, -1.0);
+        ASSERT_TRUE(comm.gather(mine.data(), 1_KiB, all.data(), 1).is_ok());
+        if (rank == 1) {
+            for (int r = 0; r < n; ++r)
+                EXPECT_EQ(all[static_cast<std::size_t>(r) * 128], r + 0.25);
+        }
+        std::vector<double> part(128, -1.0);
+        ASSERT_TRUE(comm.scatter(all.data(), 1_KiB, part.data(), 1).is_ok());
+        if (rank == 1) {
+            EXPECT_EQ(part.front(), 1.25);
+        }
+    }
+    {
+        // Every other double: 8 KiB of payload per rank in a 2047-double
+        // extent, so consecutive blocks of the result interleave.
+        const Datatype strided = Datatype::vector(1024, 1, 2, Datatype::float64());
+        const std::size_t ext = 2047;
+        std::vector<double> src(ext, rank + 0.5);
+        std::vector<double> dst(ext * un, -1.0);
+        ASSERT_TRUE(comm.allgather(src.data(), 1, strided, dst.data()).is_ok());
+        for (int r = 0; r < n; ++r) {
+            EXPECT_EQ(dst[static_cast<std::size_t>(r) * ext], r + 0.5);
+            EXPECT_EQ(dst[static_cast<std::size_t>(r) * ext + 1], -1.0);
+        }
+    }
+}
+
+TEST(DeterminismPin, CollectiveTourP2p) {
+    ClusterOptions opt;
+    opt.nodes = 6;
+    opt.coll = "p2p";
+    Cluster cluster(opt);
+    cluster.run([](Comm& comm) { full_collective_tour(comm); });
+    expect_pin(summarize(cluster), Pin{20977836, 2541, 0x35d53366054fe722ull});
+}
+
+TEST(DeterminismPin, CollectiveTourSegmentAlgorithms) {
+    ClusterOptions opt;
+    opt.nodes = 6;
+    opt.coll = "bcast=binomial,reduce=binomial,allgather=ring,alltoall=pairwise,"
+               "allreduce=reduce_bcast";
+    Cluster cluster(opt);
+    cluster.run([](Comm& comm) { full_collective_tour(comm); });
+    expect_pin(summarize(cluster), Pin{21992067, 7654, 0x8cd7106348d7f488ull});
+}
+
+/// Ibarrier, Iallreduce (power-of-two-fold size) and Iallgather, each
+/// overlapped with a slab of compute.
+void nbc_tour(Comm& comm) {
+    const int rank = comm.rank();
+    const int n = comm.size();
+    Request bar = comm.ibarrier();
+    comm.proc().delay(static_cast<SimTime>(rank) * 3_us);
+    ASSERT_TRUE(comm.wait(bar).is_ok());
+    for (const int count : {4, 4096}) {
+        std::vector<double> in(static_cast<std::size_t>(count), rank + 1.0);
+        std::vector<double> out(in.size(), 0.0);
+        Request r = comm.iallreduce_sum(in.data(), out.data(), count);
+        comm.proc().delay(20_us);
+        ASSERT_TRUE(comm.wait(r).is_ok());
+        EXPECT_EQ(out.back(), n * (n + 1) / 2.0);
+    }
+    for (const std::size_t each : {std::uint64_t{256}, 24_KiB}) {
+        std::vector<std::byte> in(each, static_cast<std::byte>(rank + 1));
+        std::vector<std::byte> out(each * static_cast<std::size_t>(n));
+        Request r = comm.iallgather(in.data(), each, out.data());
+        comm.proc().delay(20_us);
+        ASSERT_TRUE(comm.wait(r).is_ok());
+        for (int src = 0; src < n; ++src)
+            EXPECT_EQ(out[static_cast<std::size_t>(src) * each],
+                      static_cast<std::byte>(src + 1));
+    }
+}
+
+TEST(DeterminismPin, NbcTour) {
+    ClusterOptions opt;
+    opt.nodes = 6;
+    Cluster cluster(opt);
+    cluster.run([](Comm& comm) { nbc_tour(comm); });
+    expect_pin(summarize(cluster), Pin{2388772, 1266, 0xf1db0c253497d9f2ull});
+}
+
+TEST(DeterminismPin, NbcTourAsyncProgress) {
+    ClusterOptions opt;
+    opt.nodes = 6;
+    opt.async_progress = true;
+    Cluster cluster(opt);
+    cluster.run([](Comm& comm) { nbc_tour(comm); });
+    expect_pin(summarize(cluster), Pin{2524586, 1587, 0x83148146c8bee62bull});
+}
+
+TEST(DeterminismPin, Ibcast) {
+    // Non-root, non-power-of-two tree: root 2 of 6 ranks, eager and
+    // rendezvous payloads, over the blocking bcast's binomial tree.
+    ClusterOptions opt;
+    opt.nodes = 6;
+    Cluster cluster(opt);
+    cluster.run([](Comm& comm) {
+        for (const std::size_t bytes : {2_KiB, 96_KiB}) {
+            std::vector<double> data(bytes / sizeof(double), -1.0);
+            if (comm.rank() == 2) std::iota(data.begin(), data.end(), 3.0);
+            Request r = comm.ibcast(data.data(), bytes, 2);
+            ASSERT_TRUE(comm.wait(r).is_ok());
+            EXPECT_EQ(data.back(), 3.0 + static_cast<double>(data.size()) - 1.0);
+        }
+    });
+    expect_pin(summarize(cluster), Pin{2053286, 428, 0xc1411af551306375ull});
 }
 
 TEST(DeterminismPin, RaceDemoClean) {

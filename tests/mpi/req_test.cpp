@@ -214,6 +214,34 @@ TEST(Req, IallgatherMatchesBlockingAllgather) {
     });
 }
 
+TEST(Req, IallgatherOnSeventyRanksHasNoRoundCap) {
+    // The ring takes n-1 = 69 rounds, more than a fixed 64-round tag band
+    // per schedule would hold. Two schedules in flight at once also check
+    // that consecutive bands do not overlap.
+    Cluster c(nodes(70));
+    c.run([](Comm& comm) {
+        const int n = comm.size();
+        const std::size_t each = 4;
+        std::vector<std::vector<int>> in(2);
+        std::vector<std::vector<int>> out(2);
+        std::vector<Request> reqs;
+        for (int it = 0; it < 2; ++it) {
+            in[static_cast<std::size_t>(it)].assign(each, comm.rank() * 10 + it);
+            out[static_cast<std::size_t>(it)].assign(each * static_cast<std::size_t>(n), -1);
+            reqs.push_back(comm.iallgather(in[static_cast<std::size_t>(it)].data(),
+                                           each * sizeof(int),
+                                           out[static_cast<std::size_t>(it)].data()));
+        }
+        ASSERT_TRUE(comm.wait_all(reqs).is_ok());
+        for (int it = 0; it < 2; ++it)
+            for (int src = 0; src < n; ++src)
+                for (std::size_t i = 0; i < each; ++i)
+                    ASSERT_EQ(out[static_cast<std::size_t>(it)]
+                                 [static_cast<std::size_t>(src) * each + i],
+                              src * 10 + it);
+    });
+}
+
 TEST(Req, ConcurrentNbcSchedulesDoNotCrossMatch) {
     Cluster c(nodes(4));
     c.run([](Comm& comm) {
